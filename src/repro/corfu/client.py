@@ -104,8 +104,8 @@ class AppendFuture:
     returns the assigned log offset. There is no background thread:
     appends are committed by whichever waiter thread becomes the
     pipeline *leader* (see ``_AppendPipeline``), so a lone
-    ``append_async(...).result()`` costs the same as a synchronous
-    ``append``.
+    ``append_async(...).result()`` runs the synchronous append path on
+    the caller's thread; only the handle and its event are extra.
     """
 
     __slots__ = ("payload", "stream_ids", "_client", "_done", "_offset", "_exc")
@@ -157,15 +157,22 @@ class _AppendPipeline:
     groups consecutive futures with identical stream sets into one
     sequencer grant + pipelined chain write (``append_batch`` →
     ``ChainReplicator.write_pipelined``), resolves their futures, and
-    loops until the queue is empty. Followers wait on their own
-    completion events with a short timeout so a leader that exits just
-    before their enqueue is noticed and replaced — no lost wakeups, no
-    background thread, and a single uncontended append runs inline on
-    its caller's thread exactly like the old synchronous path.
+    loops until the queue is empty; it gives up leadership in the same
+    critical section that finds the queue empty, so an append queued
+    behind a leader is always either drained by it or finds leadership
+    free. Followers wait on their own completion events with a short
+    timeout as a backstop. No background thread.
+
+    A synchronous :meth:`CorfuClient.append` that finds the pipeline
+    idle (:meth:`try_lead`) runs its append inline on its own thread
+    while holding leadership — no future, no event — and then drains
+    whatever queued behind it before releasing (:meth:`drain`).
 
     Lock discipline: ``_lock`` guards only the queue and the leader
     flag; it is never held across an RPC (TL012) and takes no other
-    lock (a leaf in the documented hierarchy).
+    lock (a leaf in the documented hierarchy). Leadership is a flag,
+    not a lock, so holding it across the inline append's RPCs adds no
+    lock-order edge.
     """
 
     def __init__(self, client: "CorfuClient") -> None:
@@ -179,6 +186,17 @@ class _AppendPipeline:
         with self._lock:
             self._queue.append(fut)
 
+    def try_lead(self) -> bool:
+        """Take leadership if the pipeline is idle (no leader, empty queue).
+
+        On True the caller leads and must call :meth:`drain` when done.
+        """
+        with self._lock:
+            if self._leading or self._queue:
+                return False
+            self._leading = True
+            return True
+
     def drive(self, fut: AppendFuture, timeout: Optional[float] = None) -> None:
         """Wait for *fut*, leading the pipeline whenever it is leaderless."""
         remaining = timeout
@@ -189,11 +207,7 @@ class _AppendPipeline:
                     self._leading = True
                     lead = True
             if lead:
-                try:
-                    self._drain()
-                finally:
-                    with self._lock:
-                        self._leading = False
+                self.drain()
                 continue
             if fut.done():
                 return
@@ -208,16 +222,25 @@ class _AppendPipeline:
                 if remaining <= 0 and not fut.done():
                     return
 
-    def _drain(self) -> None:
-        while True:
+    def drain(self) -> None:
+        """As leader: commit queued appends until empty, then release."""
+        try:
+            while True:
+                with self._lock:
+                    if not self._queue:
+                        self._leading = False
+                        return
+                    chunk = [
+                        self._queue.popleft()
+                        for _ in range(min(len(self._queue), _PIPELINE_CHUNK))
+                    ]
+                self._commit(chunk)
+        except BaseException:
+            # Only a non-Exception (KeyboardInterrupt...) escapes
+            # _commit; release leadership so waiters can take over.
             with self._lock:
-                if not self._queue:
-                    return
-                chunk = [
-                    self._queue.popleft()
-                    for _ in range(min(len(self._queue), _PIPELINE_CHUNK))
-                ]
-            self._commit(chunk)
+                self._leading = False
+            raise
 
     def _commit(self, chunk: List[AppendFuture]) -> None:
         client = self._client
@@ -431,10 +454,15 @@ class CorfuClient:
         if failover:
             self._handle_node_down(NodeDownError(exc.node))
 
-    def _note_success(self) -> None:
-        """An RPC round completed: clear the failure-detector streaks."""
+    def _note_success(self, appended: int = 0) -> None:
+        """An RPC round completed: clear the failure-detector streaks.
+
+        *appended* counts entries the round appended, folded into the
+        same critical section.
+        """
         with self._counter_lock:
             self._timeout_streaks.clear()
+            self.appends += appended
 
     # -- append path ---------------------------------------------------------
 
@@ -445,13 +473,27 @@ class CorfuClient:
         id is given: the entry occupies a single position in the global
         order but belongs to every listed stream.
 
-        Expressed on the async path: ``append_async(...).result()``.
-        A lone call runs inline on the calling thread (same cost as the
-        classic synchronous append); concurrent callers are coalesced
-        into shared sequencer grants and pipelined chain writes by the
-        pipeline leader.
+        Uncontended, the append runs inline on the calling thread: one
+        sequencer grant and one chain write, with no future or event.
+        If another thread is leading the pipeline (or appends are
+        queued), the call joins the group-commit path instead
+        (``append_async(...).result()``), so concurrent callers are
+        coalesced into shared sequencer grants and pipelined chain
+        writes.
         """
-        return self.append_async(payload, stream_ids).result()
+        self._validate_append(payload, stream_ids)
+        stream_ids = tuple(stream_ids)
+        pipeline = self._pipeline
+        if not pipeline.try_lead():
+            fut = AppendFuture(self, payload, stream_ids)
+            pipeline.submit(fut)
+            return fut.result()
+        try:
+            return self._append_sync(payload, stream_ids)
+        finally:
+            # Appends that queued behind this one are committed before
+            # leadership is released.
+            pipeline.drain()
 
     def append_async(
         self, payload: bytes, stream_ids: Sequence[int] = ()
@@ -508,7 +550,7 @@ class CorfuClient:
                 # patch. Retrying with a fresh offset is always safe.
                 self._handle_timeout(exc, attempt)
             else:
-                self._note_success()
+                self._note_success(appended=1)
                 return offset
         raise RetriesExhaustedError("append", _MAX_RETRIES)
 
@@ -529,8 +571,6 @@ class CorfuClient:
         entry = LogEntry(headers=headers, payload=payload)
         raw = entry.encode(offset, self._cluster.k, self._cluster.max_streams)
         self._complete_write(offset, raw)
-        with self._counter_lock:
-            self.appends += 1
         return offset
 
     def _append_vector(
@@ -603,8 +643,6 @@ class CorfuClient:
         entry = LogEntry(headers=headers, payload=payload)
         raw = entry.encode(offset, self._cluster.k, self._cluster.max_streams)
         self._complete_write(offset, raw)
-        with self._counter_lock:
-            self.appends += 1
         return offset
 
     # -- batched append path -------------------------------------------------

@@ -21,20 +21,11 @@ multiappend (and therefore a single transaction's write set) may touch.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import TooManyStreamsError
-from repro.util.encoding import (
-    decode_bytes,
-    encode_bytes,
-    pack_u16,
-    pack_u32,
-    pack_u64,
-    unpack_u16,
-    unpack_u32,
-    unpack_u64,
-)
 
 # Sentinel meaning "no previous entry for this stream".
 NO_BACKPOINTER = -1
@@ -52,6 +43,25 @@ DEFAULT_K = 4
 
 #: Default 4KB log entries (paper section 6).
 DEFAULT_ENTRY_SIZE = 4096
+
+# Precompiled little-endian layouts. An entry is
+# ``[junk:u16][nheaders:u16][headers...][len:u32][payload]``; a header
+# is ``[stream_id << 1 | absolute:u32]`` followed by K u16 deltas
+# (relative) or max(1, K/4) u64 offsets (absolute).
+_ENTRY_HEAD = struct.Struct("<HH")
+_U32 = struct.Struct("<I")
+_HEADER_LAYOUTS: Dict[int, Tuple[struct.Struct, struct.Struct]] = {}
+
+
+def _header_layouts(k: int) -> Tuple[struct.Struct, struct.Struct]:
+    """The (relative, absolute) header layouts for redundancy *k*."""
+    layouts = _HEADER_LAYOUTS.get(k)
+    if layouts is None:
+        layouts = _HEADER_LAYOUTS.setdefault(
+            k,
+            (struct.Struct(f"<I{k}H"), struct.Struct(f"<I{max(1, k // 4)}Q")),
+        )
+    return layouts
 
 
 @dataclass(frozen=True)
@@ -80,46 +90,48 @@ class StreamHeader:
 
     def encode(self, buf: bytearray, own_offset: int, k: int) -> None:
         """Serialize this header into *buf* for an entry at *own_offset*."""
-        flag = 1 if self.is_absolute else 0
-        pack_u32(buf, (self.stream_id << 1) | flag)
+        buf += self._pack(own_offset, k)
+
+    def _pack(self, own_offset: int, k: int) -> bytes:
+        relative, absolute = _header_layouts(k)
         if self.is_absolute:
             count = max(1, k // 4)
-            ptrs = list(self.backpointers[:count])
-            ptrs += [NO_BACKPOINTER] * (count - len(ptrs))
-            for ptr in ptrs:
-                pack_u64(buf, _ABSOLUTE_NONE if ptr == NO_BACKPOINTER else ptr)
-        else:
-            ptrs = list(self.backpointers[:k])
-            ptrs += [NO_BACKPOINTER] * (k - len(ptrs))
-            for ptr in ptrs:
-                if ptr == NO_BACKPOINTER:
-                    pack_u16(buf, 0)
-                    continue
-                delta = own_offset - ptr
-                if not 0 < delta <= _MAX_RELATIVE_DELTA:
-                    raise ValueError(
-                        f"relative delta {delta} out of range at offset "
-                        f"{own_offset}; caller should have used the "
-                        f"absolute format"
-                    )
-                pack_u16(buf, delta)
+            ptrs = self.backpointers[:count]
+            return absolute.pack(
+                (self.stream_id << 1) | 1,
+                *[_ABSOLUTE_NONE if p == NO_BACKPOINTER else p for p in ptrs],
+                *(_ABSOLUTE_NONE,) * (count - len(ptrs)),
+            )
+        deltas = []
+        for ptr in self.backpointers[:k]:
+            if ptr == NO_BACKPOINTER:
+                deltas.append(0)
+                continue
+            delta = own_offset - ptr
+            if not 0 < delta <= _MAX_RELATIVE_DELTA:
+                raise ValueError(
+                    f"relative delta {delta} out of range at offset "
+                    f"{own_offset}; caller should have used the "
+                    f"absolute format"
+                )
+            deltas.append(delta)
+        return relative.pack(
+            self.stream_id << 1, *deltas, *(0,) * (k - len(deltas))
+        )
 
     @staticmethod
     def decode(buf: bytes, off: int, own_offset: int, k: int) -> Tuple["StreamHeader", int]:
         """Deserialize a header encoded at *off* for an entry at *own_offset*."""
-        word, off = unpack_u32(buf, off)
-        stream_id = word >> 1
-        is_absolute = bool(word & 1)
-        ptrs = []
-        if is_absolute:
-            for _ in range(max(1, k // 4)):
-                raw, off = unpack_u64(buf, off)
-                ptrs.append(NO_BACKPOINTER if raw == _ABSOLUTE_NONE else raw)
-        else:
-            for _ in range(k):
-                delta, off = unpack_u16(buf, off)
-                ptrs.append(NO_BACKPOINTER if delta == 0 else own_offset - delta)
-        return StreamHeader(stream_id, tuple(ptrs), is_absolute), off
+        relative, absolute = _header_layouts(k)
+        # The format flag is the low bit of the little-endian id word,
+        # i.e. of its first byte.
+        if buf[off] & 1:
+            word, *raw = absolute.unpack_from(buf, off)
+            ptrs = [NO_BACKPOINTER if p == _ABSOLUTE_NONE else p for p in raw]
+            return StreamHeader(word >> 1, tuple(ptrs), True), off + absolute.size
+        word, *deltas = relative.unpack_from(buf, off)
+        ptrs = [own_offset - d if d else NO_BACKPOINTER for d in deltas]
+        return StreamHeader(word >> 1, tuple(ptrs), False), off + relative.size
 
 
 def make_header(stream_id: int, last_offsets: Sequence[int], own_offset: int, k: int) -> StreamHeader:
@@ -181,29 +193,33 @@ class LogEntry:
     def encode(self, own_offset: int, k: int = DEFAULT_K, max_streams: int = 16) -> bytes:
         """Serialize to the on-flash format.
 
-        Layout: ``[junk:u16][nheaders:u16][headers...][payload]``.
+        Layout: ``[junk:u16][nheaders:u16][headers...][len:u32][payload]``.
         """
-        if len(self.headers) > max_streams:
-            raise TooManyStreamsError(len(self.headers), max_streams)
-        buf = bytearray()
-        pack_u16(buf, 1 if self.is_junk else 0)
-        pack_u16(buf, len(self.headers))
-        for header in self.headers:
-            header.encode(buf, own_offset, k)
-        encode_bytes(buf, self.payload)
-        return bytes(buf)
+        headers = self.headers
+        if len(headers) > max_streams:
+            raise TooManyStreamsError(len(headers), max_streams)
+        payload = self.payload
+        return b"".join((
+            _ENTRY_HEAD.pack(1 if self.is_junk else 0, len(headers)),
+            *[header._pack(own_offset, k) for header in headers],
+            _U32.pack(len(payload)),
+            payload,
+        ))
 
     @staticmethod
     def decode(raw: bytes, own_offset: int, k: int = DEFAULT_K) -> "LogEntry":
         """Deserialize an entry previously produced by :meth:`encode`."""
-        junk_flag, off = unpack_u16(raw, 0)
-        nheaders, off = unpack_u16(raw, off)
+        junk_flag, nheaders = _ENTRY_HEAD.unpack_from(raw, 0)
+        off = _ENTRY_HEAD.size
         headers = []
         for _ in range(nheaders):
             header, off = StreamHeader.decode(raw, off, own_offset, k)
             headers.append(header)
-        payload, off = decode_bytes(raw, off)
-        return LogEntry(tuple(headers), payload, is_junk=bool(junk_flag))
+        (length,) = _U32.unpack_from(raw, off)
+        off += 4
+        return LogEntry(
+            tuple(headers), bytes(raw[off:off + length]), bool(junk_flag)
+        )
 
 
 # -- vector-grant markers ----------------------------------------------------

@@ -26,11 +26,21 @@ backoff use real wall time.
 Concurrency: a transport is shared by every client thread of a
 deployment, so counter updates are read-modify-write races unless
 locked. :class:`EndpointStats` owns a lock for its counters (all bumps
-go through ``note_*`` methods; TL010 enforces this), and the transport
-guards its endpoint map so ``endpoint_stats`` can snapshot while
-another thread is creating an endpoint's entry. Readers of a single
-counter attribute (e.g. the failure detector's ``stats.rpcs``) take a
-plain int read, which is atomic under the GIL.
+go through ``note_*`` methods; TL010 enforces this). The endpoint map
+itself takes no lock: entries are only ever added, through one
+``dict.setdefault``, and snapshots copy it with one ``dict.copy`` —
+each a single C-level operation under the GIL. A plain loopback RPC
+therefore takes exactly one lock (``note_delivery``). Readers of a
+single counter attribute (e.g. the failure detector's ``stats.rpcs``)
+take a plain int read, which is atomic under the GIL.
+
+In-flight gauges (per endpoint and transport-wide) are kept only by
+the transports whose readers need them: :class:`LatencyTransport`
+(perf_gate's ``append_pipelined`` overlap witness) and
+:class:`~repro.net.faulty.FaultyTransport` (the chaos suites). On
+plain loopback a delivery is a synchronous function call, so the gauge
+would only ever echo the number of client threads; there ``inflight``
+and ``max_inflight`` read 0.
 """
 
 from __future__ import annotations
@@ -168,9 +178,11 @@ class RpcProxy:
     name the endpoints. There is no attribute reach-through — asking a
     proxy for server state is answered with an error at call time, not
     a loopback-only shortcut.
-    """
 
-    __slots__ = ("_transport", "_source", "_target", "_resolve")
+    The forwarding callable for an op is built once, on first access,
+    and cached in the instance dict, so later accesses are a plain
+    attribute hit and never reach ``__getattr__`` again.
+    """
 
     def __init__(
         self,
@@ -206,6 +218,7 @@ class RpcProxy:
             return transport.call(source, target, op, resolve, args, kwargs)
 
         rpc.__name__ = op
+        self.__dict__[op] = rpc
         return rpc
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -224,11 +237,11 @@ class Transport:
     """
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
+        # Add-only endpoint map, read and grown without a lock (see the
+        # module docstring); each EndpointStats guards its own counters.
         self._stats: Dict[str, EndpointStats] = {}
-        # Guards the endpoint map itself (entry creation vs snapshot
-        # iteration) and the transport-wide in-flight gauge; each
-        # EndpointStats guards its own counters.
-        self._stats_lock = threading.Lock()
+        # Guards the transport-wide in-flight gauge.
+        self._gauge_lock = threading.Lock()
         self._inflight = 0
         self._max_inflight = 0
         self.clock: Clock = clock if clock is not None else LogicalClock()
@@ -273,32 +286,32 @@ class Transport:
         one node), the transport-wide gauge shows concurrency across
         the whole deployment — a pipelined chain write with one
         in-flight hop per replica reads 1 per endpoint but
-        ``len(chain)`` here.
+        ``len(chain)`` here. Only the gauging transports call this pair.
         """
-        with self._stats_lock:
+        with self._gauge_lock:
             self._inflight += 1
             if self._inflight > self._max_inflight:
                 self._max_inflight = self._inflight
 
     def _note_end(self) -> None:
-        with self._stats_lock:
+        with self._gauge_lock:
             self._inflight -= 1
 
     def inflight_stats(self) -> Dict[str, int]:
         """Transport-wide concurrent-delivery gauge and high-water mark."""
-        with self._stats_lock:
+        with self._gauge_lock:
             return {
                 "inflight": self._inflight,
                 "max_inflight": self._max_inflight,
             }
 
     def stats_for(self, target: str) -> EndpointStats:
-        with self._stats_lock:
-            stats = self._stats.get(target)
-            if stats is None:
-                stats = EndpointStats()
-                self._stats[target] = stats
-            return stats
+        stats = self._stats.get(target)
+        if stats is None:
+            # Two threads may race to create the entry; setdefault keeps
+            # exactly one, and both callers get that one.
+            stats = self._stats.setdefault(target, EndpointStats())
+        return stats
 
     def record_retry(self, target: str) -> None:
         """Clients report each retry decision so operators can see them."""
@@ -306,8 +319,7 @@ class Transport:
 
     def endpoint_stats(self) -> Dict[str, Dict[str, int]]:
         """Snapshot of per-endpoint counters (fresh dicts, safe to mutate)."""
-        with self._stats_lock:
-            targets = sorted(self._stats.items())
+        targets = sorted(self._stats.copy().items())
         return {target: stats.to_dict() for target, stats in targets}
 
 
@@ -316,7 +328,8 @@ class LoopbackTransport(Transport):
 
     This is the default transport and preserves the pre-``repro.net``
     semantics exactly: every RPC is one Python method call on the live
-    server object.
+    server object. Its only bookkeeping is the delivery count — one
+    lock acquisition per RPC; it keeps no in-flight gauge.
     """
 
     def call(
@@ -328,15 +341,8 @@ class LoopbackTransport(Transport):
         args: tuple,
         kwargs: dict,
     ):
-        stats = self.stats_for(target)
-        stats.note_delivery(op, args)
-        stats.note_begin()
-        self._note_begin()
-        try:
-            return resolve_method(resolve, target, op)(*args, **kwargs)
-        finally:
-            self._note_end()
-            stats.note_end()
+        self.stats_for(target).note_delivery(op, args)
+        return resolve_method(resolve, target, op)(*args, **kwargs)
 
 
 class LatencyTransport(LoopbackTransport):
@@ -350,6 +356,8 @@ class LatencyTransport(LoopbackTransport):
     ``perf_gate.py``'s ``append_pipelined`` scenario runs on it. Uses a
     :class:`~repro.net.clock.MonotonicClock` (the sanctioned wall-time
     source), keeping deterministic logical time for everything else.
+    Keeps the in-flight gauges (per endpoint and transport-wide): they
+    are the scenario's witness that hops overlapped.
     """
 
     def __init__(self, delay_s: float = 0.0002) -> None:

@@ -24,19 +24,9 @@ kinds exist:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
-
-from repro.util.encoding import (
-    decode_bytes,
-    encode_bytes,
-    pack_u16,
-    pack_u32,
-    pack_u64,
-    unpack_u16,
-    unpack_u32,
-    unpack_u64,
-)
+from typing import Dict, List, Optional, Tuple, Union
 
 _KIND_UPDATE = 1
 _KIND_COMMIT = 2
@@ -51,29 +41,47 @@ _VERSION_NONE = 0xFFFFFFFFFFFFFFFF
 #: tx_id value meaning "not part of any transaction".
 NO_TX = 0
 
-
-def _pack_version(buf: bytearray, version: int) -> None:
-    pack_u64(buf, _VERSION_NONE if version == NO_VERSION else version)
-
-
-def _unpack_version(buf: bytes, off: int) -> Tuple[int, int]:
-    raw, off = unpack_u64(buf, off)
-    return (NO_VERSION if raw == _VERSION_NONE else raw), off
-
-
-def _pack_opt_bytes(buf: bytearray, data: Optional[bytes]) -> None:
-    if data is None:
-        pack_u16(buf, 0)
-    else:
-        pack_u16(buf, 1)
-        encode_bytes(buf, data)
+# Precompiled little-endian layouts. Variable-length fields (keys,
+# payloads, state) are a u32 length followed by the bytes; an optional
+# byte string is a u16 presence flag, then (if present) that length and
+# the bytes. Versions are u64 with all-ones meaning NO_VERSION.
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_UPDATE_HEAD = struct.Struct("<IQH")  # oid, tx_id, key flag
+_READ_HEAD = struct.Struct("<IH")  # oid, key flag
+_COMMIT_HEAD = struct.Struct("<QHH")  # tx_id, flags, len(read_set)
+_DECISION = struct.Struct("<QH")  # tx_id, committed
+_CHECKPOINT_HEAD = struct.Struct("<IQQQI")  # oid, covers, object, unkeyed, nkeys
+_DELTA_HEAD = struct.Struct("<IQQQQHI")  # ... base, ..., depth, nkeys
+_OID_LISTS: Dict[int, struct.Struct] = {}
 
 
-def _unpack_opt_bytes(buf: bytes, off: int) -> Tuple[Optional[bytes], int]:
-    flag, off = unpack_u16(buf, off)
-    if not flag:
-        return None, off
-    return decode_bytes(buf, off)
+def _oid_list(n: int) -> struct.Struct:
+    """Layout of a u16 count followed by *n* u32 object ids."""
+    layout = _OID_LISTS.get(n)
+    if layout is None:
+        layout = _OID_LISTS.setdefault(n, struct.Struct(f"<H{n}I"))
+    return layout
+
+
+def _version_out(version: int) -> int:
+    return _VERSION_NONE if version == NO_VERSION else version
+
+
+def _version_in(raw: int) -> int:
+    return NO_VERSION if raw == _VERSION_NONE else raw
+
+
+def _sized(parts: list, data: bytes) -> None:
+    parts.append(_U32.pack(len(data)))
+    parts.append(data)
+
+
+def _read_sized(buf: bytes, off: int) -> Tuple[bytes, int]:
+    (length,) = _U32.unpack_from(buf, off)
+    off += 4
+    return bytes(buf[off:off + length]), off + length
 
 
 @dataclass(frozen=True)
@@ -89,18 +97,23 @@ class UpdateRecord:
     def is_speculative(self) -> bool:
         return self.tx_id != NO_TX
 
-    def _encode_body(self, buf: bytearray) -> None:
-        pack_u32(buf, self.oid)
-        pack_u64(buf, self.tx_id)
-        _pack_opt_bytes(buf, self.key)
-        encode_bytes(buf, self.payload)
+    def _encode_body(self, parts: list) -> None:
+        key = self.key
+        if key is None:
+            parts.append(_UPDATE_HEAD.pack(self.oid, self.tx_id, 0))
+        else:
+            parts.append(_UPDATE_HEAD.pack(self.oid, self.tx_id, 1))
+            _sized(parts, key)
+        _sized(parts, self.payload)
 
     @staticmethod
     def _decode_body(buf: bytes, off: int) -> Tuple["UpdateRecord", int]:
-        oid, off = unpack_u32(buf, off)
-        tx_id, off = unpack_u64(buf, off)
-        key, off = _unpack_opt_bytes(buf, off)
-        payload, off = decode_bytes(buf, off)
+        oid, tx_id, flag = _UPDATE_HEAD.unpack_from(buf, off)
+        off += _UPDATE_HEAD.size
+        key = None
+        if flag:
+            key, off = _read_sized(buf, off)
+        payload, off = _read_sized(buf, off)
         return UpdateRecord(oid, payload, key, tx_id), off
 
 
@@ -117,17 +130,24 @@ class ReadSetEntry:
     key: Optional[bytes]
     version: int
 
-    def _encode_body(self, buf: bytearray) -> None:
-        pack_u32(buf, self.oid)
-        _pack_opt_bytes(buf, self.key)
-        _pack_version(buf, self.version)
+    def _encode_body(self, parts: list) -> None:
+        key = self.key
+        if key is None:
+            parts.append(_READ_HEAD.pack(self.oid, 0))
+        else:
+            parts.append(_READ_HEAD.pack(self.oid, 1))
+            _sized(parts, key)
+        parts.append(_U64.pack(_version_out(self.version)))
 
     @staticmethod
     def _decode_body(buf: bytes, off: int) -> Tuple["ReadSetEntry", int]:
-        oid, off = unpack_u32(buf, off)
-        key, off = _unpack_opt_bytes(buf, off)
-        version, off = _unpack_version(buf, off)
-        return ReadSetEntry(oid, key, version), off
+        oid, flag = _READ_HEAD.unpack_from(buf, off)
+        off += _READ_HEAD.size
+        key = None
+        if flag:
+            key, off = _read_sized(buf, off)
+        (version,) = _U64.unpack_from(buf, off)
+        return ReadSetEntry(oid, key, _version_in(version)), off + 8
 
 
 @dataclass(frozen=True)
@@ -152,37 +172,32 @@ class CommitRecord:
                 seen.append(entry.oid)
         return tuple(seen)
 
-    def _encode_body(self, buf: bytearray) -> None:
-        pack_u64(buf, self.tx_id)
+    def _encode_body(self, parts: list) -> None:
         flags = (1 if self.decision_expected else 0) | (
             2 if self.forced_abort else 0
         )
-        pack_u16(buf, flags)
-        pack_u16(buf, len(self.read_set))
+        parts.append(_COMMIT_HEAD.pack(self.tx_id, flags, len(self.read_set)))
         for entry in self.read_set:
-            entry._encode_body(buf)
-        pack_u16(buf, len(self.write_oids))
-        for oid in self.write_oids:
-            pack_u32(buf, oid)
-        pack_u16(buf, len(self.inline_updates))
+            entry._encode_body(parts)
+        write_oids = self.write_oids
+        parts.append(_oid_list(len(write_oids)).pack(len(write_oids), *write_oids))
+        parts.append(_U16.pack(len(self.inline_updates)))
         for upd in self.inline_updates:
-            upd._encode_body(buf)
+            upd._encode_body(parts)
 
     @staticmethod
     def _decode_body(buf: bytes, off: int) -> Tuple["CommitRecord", int]:
-        tx_id, off = unpack_u64(buf, off)
-        flags, off = unpack_u16(buf, off)
-        nreads, off = unpack_u16(buf, off)
+        tx_id, flags, nreads = _COMMIT_HEAD.unpack_from(buf, off)
+        off += _COMMIT_HEAD.size
         reads = []
         for _ in range(nreads):
             entry, off = ReadSetEntry._decode_body(buf, off)
             reads.append(entry)
-        nwrites, off = unpack_u16(buf, off)
-        writes = []
-        for _ in range(nwrites):
-            oid, off = unpack_u32(buf, off)
-            writes.append(oid)
-        nupd, off = unpack_u16(buf, off)
+        (nwrites,) = _U16.unpack_from(buf, off)
+        writes = _oid_list(nwrites).unpack_from(buf, off)[1:]
+        off += 2 + 4 * nwrites
+        (nupd,) = _U16.unpack_from(buf, off)
+        off += 2
         updates = []
         for _ in range(nupd):
             upd, off = UpdateRecord._decode_body(buf, off)
@@ -190,7 +205,7 @@ class CommitRecord:
         record = CommitRecord(
             tx_id,
             tuple(reads),
-            tuple(writes),
+            writes,
             tuple(updates),
             decision_expected=bool(flags & 1),
             forced_abort=bool(flags & 2),
@@ -205,15 +220,13 @@ class DecisionRecord:
     tx_id: int
     committed: bool
 
-    def _encode_body(self, buf: bytearray) -> None:
-        pack_u64(buf, self.tx_id)
-        pack_u16(buf, 1 if self.committed else 0)
+    def _encode_body(self, parts: list) -> None:
+        parts.append(_DECISION.pack(self.tx_id, 1 if self.committed else 0))
 
     @staticmethod
     def _decode_body(buf: bytes, off: int) -> Tuple["DecisionRecord", int]:
-        tx_id, off = unpack_u64(buf, off)
-        committed, off = unpack_u16(buf, off)
-        return DecisionRecord(tx_id, bool(committed)), off
+        tx_id, committed = _DECISION.unpack_from(buf, off)
+        return DecisionRecord(tx_id, bool(committed)), off + _DECISION.size
 
 
 @dataclass(frozen=True)
@@ -242,41 +255,33 @@ class CheckpointRecord:
     #: Serialized evicted-key filter (empty when nothing was evicted).
     evicted_filter: bytes = b""
 
-    def _encode_body(self, buf: bytearray) -> None:
-        pack_u32(buf, self.oid)
-        _pack_version(buf, self.covers_offset)
-        _pack_version(buf, self.object_version)
-        _pack_version(buf, self.unkeyed_version)
-        pack_u32(buf, len(self.key_versions))
-        for key, version in self.key_versions:
-            encode_bytes(buf, key)
-            _pack_version(buf, version)
-        encode_bytes(buf, self.state)
-        _pack_version(buf, self.version_floor)
-        encode_bytes(buf, self.evicted_filter)
+    def _encode_body(self, parts: list) -> None:
+        parts.append(
+            _CHECKPOINT_HEAD.pack(
+                self.oid,
+                _version_out(self.covers_offset),
+                _version_out(self.object_version),
+                _version_out(self.unkeyed_version),
+                len(self.key_versions),
+            )
+        )
+        _encode_checkpoint_tail(parts, self)
 
     @staticmethod
     def _decode_body(buf: bytes, off: int) -> Tuple["CheckpointRecord", int]:
-        oid, off = unpack_u32(buf, off)
-        covers, off = _unpack_version(buf, off)
-        obj_version, off = _unpack_version(buf, off)
-        unkeyed, off = _unpack_version(buf, off)
-        nkeys, off = unpack_u32(buf, off)
-        keys = []
-        for _ in range(nkeys):
-            key, off = decode_bytes(buf, off)
-            version, off = _unpack_version(buf, off)
-            keys.append((key, version))
-        state, off = decode_bytes(buf, off)
-        floor, off = _unpack_version(buf, off)
-        evicted, off = decode_bytes(buf, off)
+        oid, covers, obj_version, unkeyed, nkeys = _CHECKPOINT_HEAD.unpack_from(
+            buf, off
+        )
+        keys, state, floor, evicted, off = _decode_checkpoint_tail(
+            buf, off + _CHECKPOINT_HEAD.size, nkeys
+        )
         record = CheckpointRecord(
             oid,
-            covers,
-            obj_version,
-            tuple(keys),
+            _version_in(covers),
+            _version_in(obj_version),
+            keys,
             state,
-            unkeyed_version=unkeyed,
+            unkeyed_version=_version_in(unkeyed),
             version_floor=floor,
             evicted_filter=evicted,
         )
@@ -308,53 +313,69 @@ class DeltaCheckpointRecord:
     evicted_filter: bytes = b""
     depth: int = 1
 
-    def _encode_body(self, buf: bytearray) -> None:
-        pack_u32(buf, self.oid)
-        pack_u64(buf, self.base_offset)
-        _pack_version(buf, self.covers_offset)
-        _pack_version(buf, self.object_version)
-        _pack_version(buf, self.unkeyed_version)
-        pack_u16(buf, self.depth)
-        pack_u32(buf, len(self.key_versions))
-        for key, version in self.key_versions:
-            encode_bytes(buf, key)
-            _pack_version(buf, version)
-        encode_bytes(buf, self.state)
-        _pack_version(buf, self.version_floor)
-        encode_bytes(buf, self.evicted_filter)
+    def _encode_body(self, parts: list) -> None:
+        parts.append(
+            _DELTA_HEAD.pack(
+                self.oid,
+                self.base_offset,
+                _version_out(self.covers_offset),
+                _version_out(self.object_version),
+                _version_out(self.unkeyed_version),
+                self.depth,
+                len(self.key_versions),
+            )
+        )
+        _encode_checkpoint_tail(parts, self)
 
     @staticmethod
     def _decode_body(
         buf: bytes, off: int
     ) -> Tuple["DeltaCheckpointRecord", int]:
-        oid, off = unpack_u32(buf, off)
-        base, off = unpack_u64(buf, off)
-        covers, off = _unpack_version(buf, off)
-        obj_version, off = _unpack_version(buf, off)
-        unkeyed, off = _unpack_version(buf, off)
-        depth, off = unpack_u16(buf, off)
-        nkeys, off = unpack_u32(buf, off)
-        keys = []
-        for _ in range(nkeys):
-            key, off = decode_bytes(buf, off)
-            version, off = _unpack_version(buf, off)
-            keys.append((key, version))
-        state, off = decode_bytes(buf, off)
-        floor, off = _unpack_version(buf, off)
-        evicted, off = decode_bytes(buf, off)
+        oid, base, covers, obj_version, unkeyed, depth, nkeys = (
+            _DELTA_HEAD.unpack_from(buf, off)
+        )
+        keys, state, floor, evicted, off = _decode_checkpoint_tail(
+            buf, off + _DELTA_HEAD.size, nkeys
+        )
         record = DeltaCheckpointRecord(
             oid,
             base,
-            covers,
-            obj_version,
-            tuple(keys),
+            _version_in(covers),
+            _version_in(obj_version),
+            keys,
             state,
-            unkeyed_version=unkeyed,
+            unkeyed_version=_version_in(unkeyed),
             version_floor=floor,
             evicted_filter=evicted,
             depth=depth,
         )
         return record, off
+
+
+def _encode_checkpoint_tail(
+    parts: list, record: Union[CheckpointRecord, DeltaCheckpointRecord]
+) -> None:
+    """The part both checkpoint kinds share, after their fixed head:
+    ``key_versions`` entries, then state, version floor and filter."""
+    for key, version in record.key_versions:
+        _sized(parts, key)
+        parts.append(_U64.pack(_version_out(version)))
+    _sized(parts, record.state)
+    parts.append(_U64.pack(_version_out(record.version_floor)))
+    _sized(parts, record.evicted_filter)
+
+
+def _decode_checkpoint_tail(buf: bytes, off: int, nkeys: int):
+    keys = []
+    for _ in range(nkeys):
+        key, off = _read_sized(buf, off)
+        (version,) = _U64.unpack_from(buf, off)
+        keys.append((key, _version_in(version)))
+        off += 8
+    state, off = _read_sized(buf, off)
+    (floor,) = _U64.unpack_from(buf, off)
+    evicted, off = _read_sized(buf, off + 8)
+    return tuple(keys), state, _version_in(floor), evicted, off
 
 
 Record = Union[
@@ -383,26 +404,29 @@ _DECODER_OF = {
 
 
 def encode_records(records: List[Record]) -> bytes:
-    """Serialize a batch of records into one entry payload."""
-    buf = bytearray()
-    pack_u16(buf, len(records))
+    """Serialize a batch of records into one entry payload.
+
+    Layout: ``[count:u16]`` then, per record, ``[kind:u16][body]``.
+    """
+    parts = [_U16.pack(len(records))]
     for record in records:
-        pack_u16(buf, _KIND_OF[type(record)])
-        record._encode_body(buf)
-    return bytes(buf)
+        parts.append(_U16.pack(_KIND_OF[type(record)]))
+        record._encode_body(parts)
+    return b"".join(parts)
 
 
 def decode_records(payload: bytes) -> List[Record]:
     """Deserialize an entry payload back into its record batch."""
     if not payload:
         return []
-    count, off = unpack_u16(payload, 0)
+    (count,) = _U16.unpack_from(payload, 0)
+    off = 2
     records: List[Record] = []
     for _ in range(count):
-        kind, off = unpack_u16(payload, off)
+        (kind,) = _U16.unpack_from(payload, off)
         decoder = _DECODER_OF.get(kind)
         if decoder is None:
             raise ValueError(f"unknown record kind {kind}")
-        record, off = decoder(payload, off)
+        record, off = decoder(payload, off + 2)
         records.append(record)
     return records

@@ -71,6 +71,14 @@ _MAX_DECISION_WAIT_ROUNDS = 3
 MAX_DELTA_CHAIN = 8
 
 
+def _involved_oids(record: CommitRecord) -> Tuple[int, ...]:
+    """Streams a transaction's decision record goes to: read set, then
+    write set, each oid once, in first-seen order."""
+    oids = list(record.read_oids())
+    oids.extend(oid for oid in record.write_oids if oid not in oids)
+    return tuple(oids)
+
+
 class _GroupCommitPolicy:
     """Adaptive group-commit sizing shared by a runtime's batch scopes.
 
@@ -173,12 +181,11 @@ class TangoRuntime:
         self._awaiting: Dict[int, PendingTx] = {}
         self._blocked_streams: Set[int] = set()
         self._deferred: List[Tuple[int, object, Tuple[int, ...]]] = []
-        # Commit records we generated with decision_expected, retained so
-        # the decision can be (re)published after a crash of a peer.
-        self._own_commits: Dict[int, Tuple[int, CommitRecord]] = {}
-        # (offset, record) for every commit this client has decided, so
-        # that publish_decision can reconstruct the decision's streams.
-        self._pending_records: Dict[int, Tuple[int, CommitRecord]] = {}
+        # (commit offset, involved oids) for every commit this client
+        # has decided: publish_decision needs only the decision's
+        # streams, so the record itself (read set, inline updates,
+        # payload bytes) is not retained.
+        self._pending_records: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         # Highest log offset processed by merged playback.
         self._watermark = NO_VERSION
         # Optional dynamic decision-record scheme (section 4.1).
@@ -627,7 +634,6 @@ class TangoRuntime:
                 f"resolve it with publish_decision/force_abort"
             )
         if record.decision_expected:
-            self._own_commits[ctx.tx_id] = (commit_offset, record)
             self._append_decision(ctx.tx_id, outcome, record)
         self.stats["commits" if outcome else "aborts"] += 1
         return outcome
@@ -690,15 +696,14 @@ class TangoRuntime:
     def _append_decision(
         self, tx_id: int, outcome: bool, record: CommitRecord
     ) -> None:
-        streams = []
-        for entry in record.read_set:
-            if entry.oid not in streams:
-                streams.append(entry.oid)
-        for oid in record.write_oids:
-            if oid not in streams:
-                streams.append(oid)
+        self._append_decision_to(tx_id, outcome, _involved_oids(record))
+
+    def _append_decision_to(
+        self, tx_id: int, outcome: bool, oids: Tuple[int, ...]
+    ) -> None:
+        """Append the decision record on every stream the commit involved."""
         decision = DecisionRecord(tx_id, outcome)
-        self._streams.append(encode_records([decision]), tuple(streams))
+        self._streams.append(encode_records([decision]), oids)
         self.stats["decisions_published"] += 1
         if self._subscribers:
             self._emit("decision", {"tx_id": tx_id, "committed": outcome})
@@ -789,8 +794,8 @@ class TangoRuntime:
             pending = self._pending_records.get(tx_id)
             if pending is None:
                 return False
-            _offset, record = pending
-            self._append_decision(tx_id, outcome, record)
+            _offset, oids = pending
+            self._append_decision_to(tx_id, outcome, oids)
         return True
 
     # ------------------------------------------------------------------
@@ -976,13 +981,12 @@ class TangoRuntime:
             self.stats["evicted_versions"] += self._versions.evict_below(offset)
             doomed = [
                 tx_id
-                for tx_id, (off, _record) in self._pending_records.items()
+                for tx_id, (off, _oids) in self._pending_records.items()
                 if off < offset
             ]
             for tx_id in doomed:
                 del self._pending_records[tx_id]
                 self._decided.pop(tx_id, None)
-                self._own_commits.pop(tx_id, None)
 
     # ------------------------------------------------------------------
     # merged playback
@@ -1216,7 +1220,7 @@ class TangoRuntime:
             # tables, which is all a conflict check needs.
             outcome = self._decide_by_reconstruction(offset, record, depth=0)
         self._decided[tx_id] = outcome
-        self._pending_records[tx_id] = (offset, record)
+        self._pending_records[tx_id] = (offset, _involved_oids(record))
         if self._subscribers:
             self._emit(
                 "commit" if outcome else "abort",
@@ -1349,7 +1353,9 @@ class TangoRuntime:
                             oid, offset, record, table, depth
                         )
                         self._decided[record.tx_id] = outcome
-                        self._pending_records[record.tx_id] = (offset, record)
+                        self._pending_records[record.tx_id] = (
+                            offset, _involved_oids(record)
+                        )
                     if not outcome:
                         pending.pop(record.tx_id, None)
                         continue
@@ -1451,7 +1457,7 @@ class TangoRuntime:
             if outcome is None:
                 outcome = self._decide_by_reconstruction(offset, record, depth=0)
         self._decided[tx_id] = outcome
-        self._pending_records[tx_id] = (offset, record)
+        self._pending_records[tx_id] = (offset, _involved_oids(record))
         self._finalize_tx(offset, record, outcome, (oid,))
 
     def _hunt_decision(self, oid: int, offset: int, tx_id: int) -> Optional[bool]:

@@ -1,10 +1,13 @@
 """Little-endian binary encoding helpers.
 
-CORFU log entries are flat byte strings on the storage units, so every
-record type in the system (stream headers, update records, commit
-records) serializes itself with these helpers. Each ``pack_*`` function
-appends to a ``bytearray``; each ``unpack_*`` function reads from a
-``bytes``/``memoryview`` at an offset and returns ``(value, new_offset)``.
+General-purpose field helpers for explicit binary encodings (the wire
+codec's frame length prefix uses them). The hot on-flash codecs —
+log entries and stream headers (:mod:`repro.corfu.entry`) and Tango
+records (:mod:`repro.tango.records`) — use whole-layout precompiled
+``struct.Struct`` objects instead, with the same little-endian field
+types. Each ``pack_*`` function appends to a ``bytearray``; each
+``unpack_*`` function reads from a ``bytes``/``memoryview`` at an offset
+and returns ``(value, new_offset)``.
 """
 
 from __future__ import annotations
