@@ -8,10 +8,10 @@ backpointers from the sequencer and prepends stream headers to the
 payload before running chain replication.
 
 Every node interaction goes through the cluster's transport
-(:mod:`repro.net`), and the client owns all retry logic:
+(:mod:`repro.net`), and the client owns all retry logic. One helper,
+:meth:`CorfuClient._retry`, implements the protocol's reaction table
+for every operation:
 
-- losing an append race (:class:`~repro.errors.WrittenError` at the
-  chain head) fetches a fresh offset and tries again;
 - a stale epoch (:class:`~repro.errors.SealedError`) refreshes the
   projection from the cluster and retries;
 - a dead node (:class:`~repro.errors.NodeDownError`) triggers
@@ -22,19 +22,23 @@ Every node interaction goes through the cluster's transport
   message), and retries; enough consecutive timeouts against one node
   and the client treats it as dead and reconfigures around it.
 
-Timeout retries respect each RPC's idempotence: a lost sequencer
-``increment`` response burns an offset, which the hole-filling
-machinery absorbs; a lost chain-write response is retried against the
-*same* offset with the same bytes, and the chain treats the client's
-own earlier (invisible) success as success.
+Each operation hands ``_retry`` one attempt body and keeps only its
+own rules there: losing an append race
+(:class:`~repro.errors.WrittenError` at the chain head) fetches a fresh
+offset, a fill treats ``WrittenError`` as success, and a chain write
+retried after a failed attempt targets the *same* offset with the same
+bytes, so the chain treats the client's own earlier (invisible) success
+as success. A lost sequencer ``increment`` response burns an offset,
+which the hole-filling machinery absorbs.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Type, TypeVar, Union
 
+from repro.corfu import reconfig
 from repro.corfu.cluster import CorfuCluster
 from repro.corfu.entry import (
     NO_BACKPOINTER,
@@ -60,6 +64,8 @@ from repro.errors import (
 #: Per-offset outcome of a batched read: the decoded entry, or the
 #: error *instance* (not raised) describing why the offset has none.
 ReadOutcome = Union[LogEntry, UnwrittenError, TrimmedError]
+
+_T = TypeVar("_T")
 
 #: Retry budget per bounded-retry path. Sized for the chaos suite's
 #: worst fault mix (10% request drops + 10% response drops + 10%
@@ -384,10 +390,43 @@ class CorfuClient:
         """Fetch the latest projection from the auxiliary."""
         self._projection = self._cluster.projection
 
+    def _retry(
+        self,
+        op: str,
+        attempt: Callable[[Projection, int], _T],
+        retry_on: Tuple[Type[Exception], ...] = (),
+        appended: int = 0,
+    ) -> _T:
+        """Run ``attempt(projection, n)`` until it succeeds or the budget runs out.
+
+        The one place the client reacts to the protocol's transient
+        errors (paper §2.2, §5): a sealed epoch refetches the
+        projection, a dead node drives reconfiguration around it, and a
+        timeout backs off and feeds the failure detector. Each attempt
+        receives the projection current at its start and its attempt
+        number; errors in *retry_on* just consume an attempt. Success
+        clears the failure-detector streaks and adds *appended* to the
+        append counter; after ``_MAX_RETRIES`` failed attempts,
+        :class:`RetriesExhaustedError` names *op*.
+        """
+        for n in range(_MAX_RETRIES):
+            try:
+                result = attempt(self._projection, n)
+            except retry_on:
+                continue
+            except SealedError:
+                self.refresh_projection()
+            except NodeDownError as exc:
+                self._handle_node_down(exc)
+            except RpcTimeout as exc:
+                self._handle_timeout(exc, n)
+            else:
+                self._note_success(appended)
+                return result
+        raise RetriesExhaustedError(op, _MAX_RETRIES)
+
     def _handle_node_down(self, exc: NodeDownError) -> None:
         """React to a dead node by driving reconfiguration, then refresh."""
-        from repro.corfu import reconfig
-
         # Another client may have reconfigured already; check the latest
         # projection before driving a redundant epoch change.
         self.refresh_projection()
@@ -524,38 +563,28 @@ class CorfuClient:
             )
 
     def _append_sync(self, payload: bytes, stream_ids: Sequence[int] = ()) -> int:
-        """The classic synchronous append retry loop.
+        """The classic synchronous append.
 
         Internal callers (the pipeline leader, batch fallbacks) use
         this directly — routing them through :meth:`append` would
         re-enter the pipeline a leader is already driving.
-        """
-        for attempt in range(_MAX_RETRIES):
-            try:
-                offset = self._append_once(payload, stream_ids)
-            except WrittenError:
-                continue  # lost the race; take a new offset
-            except StaleGrantError:
-                # A racing single-shard append outran our vector grant;
-                # the reserved offsets are burned (holes) and the whole
-                # grant restarts from fresh reservations.
-                continue
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                # The increment may have executed (lost response): that
-                # offset is burned and becomes a hole for fill() to
-                # patch. Retrying with a fresh offset is always safe.
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success(appended=1)
-                return offset
-        raise RetriesExhaustedError("append", _MAX_RETRIES)
 
-    def _append_once(self, payload: bytes, stream_ids: Sequence[int]) -> int:
-        proj = self._projection
+        Every attempt takes a fresh offset, which is always safe: a
+        lost race (``WrittenError``) or a vector grant outrun by a
+        racing single-shard append (``StaleGrantError``) leaves the
+        reserved offsets burned, and so does an ``increment`` whose
+        response was lost; ``fill`` patches such holes.
+        """
+        return self._retry(
+            "append",
+            lambda proj, _n: self._append_once(proj, payload, stream_ids),
+            retry_on=(WrittenError, StaleGrantError),
+            appended=1,
+        )
+
+    def _append_once(
+        self, proj: Projection, payload: bytes, stream_ids: Sequence[int]
+    ) -> int:
         shards = proj.sequencer_shards
         groups = sorted({sid % len(shards) for sid in stream_ids})
         if len(groups) > 1:
@@ -678,36 +707,35 @@ class CorfuClient:
                     f"{limit}-byte capacity of a "
                     f"{self._cluster.entry_size}-byte entry"
                 )
-        count = len(payloads)
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            shards = proj.sequencer_shards
-            groups = sorted({sid % len(shards) for sid in stream_ids})
-            if len(groups) > 1:
-                # A batch spanning shard groups would need one vector
-                # grant per entry anyway; take the per-entry path.
-                return [self._append_sync(p, stream_ids) for p in payloads]
-            seq = self._sequencer_rpc(shards[groups[0] if groups else 0])
-            try:
-                first, backpointers = seq.increment(
-                    stream_ids, epoch=proj.epoch, count=count
-                )
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                # The reservation may have executed (lost response):
-                # those offsets are burned and become holes for fill()
-                # to patch. A fresh reservation is always safe.
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                return self._write_batch(
-                    first, payloads, stream_ids, backpointers,
-                    stride=len(shards),
-                )
-        raise RetriesExhaustedError("append_batch", _MAX_RETRIES)
+        num_shards = len(self._projection.sequencer_shards)
+        if len({sid % num_shards for sid in stream_ids}) > 1:
+            # A batch spanning shard groups would need one vector grant
+            # per entry anyway; take the per-entry path.
+            return [self._append_sync(p, stream_ids) for p in payloads]
+        first, backpointers, stride = self._retry(
+            "append_batch",
+            lambda proj, _n: self._grant_once(proj, stream_ids, len(payloads)),
+        )
+        return self._write_batch(
+            first, payloads, stream_ids, backpointers, stride=stride
+        )
+
+    def _grant_once(
+        self, proj: Projection, stream_ids: Sequence[int], count: int
+    ) -> Tuple[int, Dict[int, Tuple[int, ...]], int]:
+        """Reserve *count* offsets on the one shard owning *stream_ids*.
+
+        Returns ``(first offset, backpointers, stride)``. A timed-out
+        reservation may have executed (lost response): those offsets
+        are burned and become holes for fill() to patch, so a fresh
+        reservation is always safe.
+        """
+        shards = proj.sequencer_shards
+        group = stream_ids[0] % len(shards) if stream_ids else 0
+        first, backpointers = self._sequencer_rpc(shards[group]).increment(
+            stream_ids, epoch=proj.epoch, count=count
+        )
+        return first, backpointers, len(shards)
 
     def _write_batch(
         self,
@@ -816,24 +844,17 @@ class CorfuClient:
         attempt already happened elsewhere (the pipelined batch path),
         so even attempt zero here is a retry of an ambiguous write.
         """
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
+
+        def write(proj: Projection, n: int) -> None:
+            # A reconfiguration mid-write leaves the offset ours: the
+            # retry finishes the chain under the new projection.
             rset, address = proj.map_offset(offset)
-            try:
-                self._chain.write(
-                    rset, address, raw, proj.epoch,
-                    maybe_mine=maybe_mine_from_start or attempt > 0,
-                )
-                return
-            except SealedError:
-                # Reconfigured mid-write: finish the chain under the
-                # new projection; the offset is still ours.
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-        raise RetriesExhaustedError("append.chain_write", _MAX_RETRIES)
+            self._chain.write(
+                rset, address, raw, proj.epoch,
+                maybe_mine=maybe_mine_from_start or n > 0,
+            )
+
+        self._retry("append.chain_write", write)
 
     # -- read path ------------------------------------------------------------
 
@@ -843,25 +864,14 @@ class CorfuClient:
         Raises :class:`UnwrittenError` for holes and
         :class:`TrimmedError` for reclaimed offsets.
         """
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            rset, address = proj.map_offset(offset)
-            try:
-                raw = self._chain.read(rset, address, proj.epoch)
-            except SealedError:
-                self.refresh_projection()
-                continue
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-                continue
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-                continue
-            with self._counter_lock:
-                self.reads += 1
-            self._note_success()
-            return LogEntry.decode(raw, offset, self._cluster.k)
-        raise RetriesExhaustedError("read", _MAX_RETRIES)
+        raw = self._retry("read", lambda proj, _n: self._read_once(proj, offset))
+        with self._counter_lock:
+            self.reads += 1
+        return LogEntry.decode(raw, offset, self._cluster.k)
+
+    def _read_once(self, proj: Projection, offset: int) -> bytes:
+        rset, address = proj.map_offset(offset)
+        return self._chain.read(rset, address, proj.epoch)
 
     def read_many(self, offsets: Sequence[int]) -> Dict[int, ReadOutcome]:
         """Batched read: one storage round trip per replica node.
@@ -881,71 +891,54 @@ class CorfuClient:
         re-reads only what is still missing.
         """
         results: Dict[int, ReadOutcome] = {}
-        remaining = sorted(set(offsets))
-        if not remaining:
-            return results
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            # Group the missing offsets by replica set under the current
-            # projection; the grouping is redone per attempt because a
-            # reconfiguration changes the mapping.
-            groups: Dict[int, List[int]] = {}
-            n = len(proj.replica_sets)
-            for offset in remaining:
+        wanted = sorted(set(offsets))
+        if wanted:
+            self._retry(
+                "read_many",
+                lambda proj, _n: self._read_many_once(proj, wanted, results),
+            )
+        return results
+
+    def _read_many_once(
+        self, proj: Projection, wanted: List[int], results: Dict[int, ReadOutcome]
+    ) -> None:
+        """Read the offsets of *wanted* not yet in *results* into it."""
+        # Group the missing offsets by replica set under this attempt's
+        # projection: a reconfiguration changes the mapping.
+        groups: Dict[int, List[int]] = {}
+        n = len(proj.replica_sets)
+        for offset in wanted:
+            if offset not in results:
                 groups.setdefault(offset % n, []).append(offset)
-            try:
-                for set_index in sorted(groups):
-                    batch = groups[set_index]
-                    rset = proj.replica_sets[set_index]
-                    addresses = [offset // n for offset in batch]
-                    raw_map = self._chain.read_many(
-                        rset, addresses, proj.epoch
-                    )
-                    served = 0
-                    for offset, address in zip(batch, addresses):
-                        status, data = raw_map[address]
-                        if status == "ok":
-                            results[offset] = LogEntry.decode(
-                                data, offset, self._cluster.k
-                            )
-                            served += 1
-                        elif status == "trimmed":
-                            results[offset] = TrimmedError(offset)
-                        else:
-                            results[offset] = UnwrittenError(offset)
-                    with self._counter_lock:
-                        self.reads += served
-                        self.batched_reads += 1
-                        self.batched_read_offsets += len(batch)
-                    remaining = [o for o in remaining if o not in results]
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                return results
-        raise RetriesExhaustedError("read_many", _MAX_RETRIES)
+        for set_index in sorted(groups):
+            batch = groups[set_index]
+            rset = proj.replica_sets[set_index]
+            addresses = [offset // n for offset in batch]
+            raw_map = self._chain.read_many(rset, addresses, proj.epoch)
+            served = 0
+            for offset, address in zip(batch, addresses):
+                status, data = raw_map[address]
+                if status == "ok":
+                    results[offset] = LogEntry.decode(data, offset, self._cluster.k)
+                    served += 1
+                elif status == "trimmed":
+                    results[offset] = TrimmedError(offset)
+                else:
+                    results[offset] = UnwrittenError(offset)
+            with self._counter_lock:
+                self.reads += served
+                self.batched_reads += 1
+                self.batched_read_offsets += len(batch)
 
     def is_written(self, offset: int) -> bool:
         """True if *offset* is owned by some append (even one in flight)."""
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            rset, address = proj.map_offset(offset)
-            try:
-                written = self._chain.is_written(rset, address, proj.epoch)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                return written
-        raise RetriesExhaustedError("is_written", _MAX_RETRIES)
+        return self._retry(
+            "is_written", lambda proj, _n: self._is_written_once(proj, offset)
+        )
+
+    def _is_written_once(self, proj: Projection, offset: int) -> bool:
+        rset, address = proj.map_offset(offset)
+        return self._chain.is_written(rset, address, proj.epoch)
 
     # -- check ---------------------------------------------------------------
 
@@ -958,57 +951,11 @@ class CorfuClient:
         (tens of milliseconds), and works with no sequencer at all.
         """
         if fast:
-            for attempt in range(_MAX_RETRIES):
-                proj = self._projection
-                try:
-                    tail = 0
-                    for name in proj.sequencer_shards:
-                        shard_tail, _ = self._sequencer_rpc(name).query(
-                            (), epoch=proj.epoch
-                        )
-                        tail = max(tail, shard_tail)
-                except SealedError:
-                    self.refresh_projection()
-                except NodeDownError as exc:
-                    self._handle_node_down(exc)
-                except RpcTimeout as exc:
-                    self._handle_timeout(exc, attempt)
-                else:
-                    self._note_success()
-                    return tail
-            raise RetriesExhaustedError("check", _MAX_RETRIES)
-        return self._slow_check()
-
-    def _slow_check(self) -> int:
-        """Query storage-node local tails and invert the mapping."""
-        proj = self._projection
-        tail = 0
-        for set_index, rset in enumerate(proj.replica_sets):
-            local_tail = 0
-            for node in rset:
-                try:
-                    local_tail = max(
-                        local_tail, self._local_tail_rpc(node)
-                    )
-                except NodeDownError:
-                    continue
-            if local_tail > 0:
-                tail = max(tail, proj.global_offset(set_index, local_tail - 1) + 1)
-        return tail
-
-    def _local_tail_rpc(self, node: str) -> int:
-        """One node's local tail, with bounded per-node timeout retries.
-
-        A persistently unreachable node is treated as down for the slow
-        check's purposes: its chain peers hold the same local tail.
-        """
-        for attempt in range(_TIMEOUT_FAILOVER):
-            try:
-                return self._storage_rpc(node).local_tail()
-            except RpcTimeout as exc:
-                self._net.record_retry(exc.node)
-                self._net.backoff(self.name, attempt)
-        raise NodeDownError(node)
+            tail, _ = self._retry("check", lambda proj, _n: self._query_once(proj, ()))
+            return tail
+        return reconfig.slow_check_tail(
+            self._cluster, self._projection, source=self.name
+        )
 
     def query_streams(
         self, stream_ids: Sequence[int]
@@ -1021,33 +968,29 @@ class CorfuClient:
         the queried shards. With no stream ids, every shard is queried
         (a full tail check).
         """
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            shards = proj.sequencer_shards
-            per_shard: Dict[str, List[int]] = {}
-            for sid in stream_ids:
-                per_shard.setdefault(shards[sid % len(shards)], []).append(sid)
-            if not per_shard:
-                per_shard = {name: [] for name in shards}
-            try:
-                tail = 0
-                merged: Dict[int, Tuple[int, ...]] = {}
-                for name, sids in per_shard.items():
-                    shard_tail, tails = self._sequencer_rpc(name).query(
-                        sids, epoch=proj.epoch
-                    )
-                    tail = max(tail, shard_tail)
-                    merged.update(tails)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                return tail, merged
-        raise RetriesExhaustedError("query_streams", _MAX_RETRIES)
+        return self._retry(
+            "query_streams", lambda proj, _n: self._query_once(proj, stream_ids)
+        )
+
+    def _query_once(
+        self, proj: Projection, stream_ids: Sequence[int]
+    ) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
+        """One query round: the fast :meth:`check` and :meth:`query_streams`."""
+        shards = proj.sequencer_shards
+        per_shard: Dict[str, List[int]] = {}
+        for sid in stream_ids:
+            per_shard.setdefault(shards[sid % len(shards)], []).append(sid)
+        if not per_shard:
+            per_shard = {name: [] for name in shards}
+        tail = 0
+        merged: Dict[int, Tuple[int, ...]] = {}
+        for name, sids in per_shard.items():
+            shard_tail, tails = self._sequencer_rpc(name).query(
+                sids, epoch=proj.epoch
+            )
+            tail = max(tail, shard_tail)
+            merged.update(tails)
+        return tail, merged
 
     # -- hole filling and reclamation -----------------------------------------
 
@@ -1061,25 +1004,16 @@ class CorfuClient:
         are identical no matter who writes them.
         """
         junk = LogEntry.junk().encode(offset, self._cluster.k, self._cluster.max_streams)
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            rset, address = proj.map_offset(offset)
-            try:
-                self._chain.write(rset, address, junk, proj.epoch)
-                with self._counter_lock:
-                    self.fills += 1
-                self._note_success()
-                return
-            except WrittenError:
-                self._note_success()
-                return  # no longer a hole — either filled or completed
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-        raise RetriesExhaustedError("fill", _MAX_RETRIES)
+        self._retry("fill", lambda proj, _n: self._fill_once(proj, offset, junk))
+
+    def _fill_once(self, proj: Projection, offset: int, junk: bytes) -> None:
+        rset, address = proj.map_offset(offset)
+        try:
+            self._chain.write(rset, address, junk, proj.epoch)
+        except WrittenError:
+            return  # no longer a hole — either filled or completed
+        with self._counter_lock:
+            self.fills += 1
 
     def trim(self, offset: int) -> None:
         """Mark one offset as reclaimable.
@@ -1090,22 +1024,12 @@ class CorfuClient:
         trim racing a reconfiguration must not leak ``SealedError`` to
         the application — the GC driving it has no projection to refresh.
         """
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            rset, address = proj.map_offset(offset)
-            try:
-                self._chain.trim(rset, address, proj.epoch)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
-            else:
-                self._note_success()
-                self._notify_trim(offset, False)
-                return
-        raise RetriesExhaustedError("trim", _MAX_RETRIES)
+        self._retry("trim", lambda proj, _n: self._trim_once(proj, offset))
+        self._notify_trim(offset, False)
+
+    def _trim_once(self, proj: Projection, offset: int) -> None:
+        rset, address = proj.map_offset(offset)
+        self._chain.trim(rset, address, proj.epoch)
 
     def trim_prefix(self, offset: int) -> None:
         """Reclaim every offset strictly below *offset* (sequential trim).
@@ -1113,27 +1037,19 @@ class CorfuClient:
         Idempotent per replica set; a retry after a partial pass simply
         re-trims already-trimmed prefixes.
         """
-        for attempt in range(_MAX_RETRIES):
-            proj = self._projection
-            n = len(proj.replica_sets)
-            try:
-                for set_index, rset in enumerate(proj.replica_sets):
-                    if offset > set_index:
-                        local_count = (offset - set_index + n - 1) // n
-                    else:
-                        local_count = 0
-                    self._chain.trim_prefix(rset, local_count, proj.epoch)
-            except SealedError:
-                self.refresh_projection()
-            except NodeDownError as exc:
-                self._handle_node_down(exc)
-            except RpcTimeout as exc:
-                self._handle_timeout(exc, attempt)
+        self._retry(
+            "trim_prefix", lambda proj, _n: self._trim_prefix_once(proj, offset)
+        )
+        self._notify_trim(offset, True)
+
+    def _trim_prefix_once(self, proj: Projection, offset: int) -> None:
+        n = len(proj.replica_sets)
+        for set_index, rset in enumerate(proj.replica_sets):
+            if offset > set_index:
+                local_count = (offset - set_index + n - 1) // n
             else:
-                self._note_success()
-                self._notify_trim(offset, True)
-                return
-        raise RetriesExhaustedError("trim_prefix", _MAX_RETRIES)
+                local_count = 0
+            self._chain.trim_prefix(rset, local_count, proj.epoch)
 
     # -- storage-admin plane ---------------------------------------------------
 

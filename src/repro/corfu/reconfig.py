@@ -21,7 +21,7 @@ the auxiliary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.corfu.cluster import CorfuCluster
 from repro.corfu.layout import Projection
@@ -52,22 +52,20 @@ def _sequencer_rpc(cluster: CorfuCluster, source: str, node: str):
     return cluster.transport.proxy(source, node, lambda: cluster.sequencer(node))
 
 
-def _seal_one(cluster: CorfuCluster, source: str, proxy, new_epoch: int) -> None:
-    """Seal one node, retrying through timeouts; unreachable nodes pass.
+def _call_node(cluster: CorfuCluster, proxy, rpc: Callable, *args):
+    """Call ``rpc(*args)``, an RPC of *proxy*, retrying timeouts with backoff.
 
-    A node we cannot reach after the retry budget is treated exactly
-    like a dead one: it cannot serve this partition's clients either
-    way, and if it is alive-but-partitioned its chain peers are sealed,
-    so any stale-epoch chain operation still fails to complete.
+    The one place reconfiguration reacts to :class:`RpcTimeout`: a node
+    that times out ``_RPC_ATTEMPTS`` times in a row is given up as
+    unreachable, reported as ``NodeDownError(node)``. Every other error
+    propagates; each caller keeps its own reaction to those.
     """
     for attempt in range(_RPC_ATTEMPTS):
         try:
-            proxy.seal(new_epoch)
-            return
-        except (NodeDownError, SealedError):
-            return  # dead nodes can't serve stale requests anyway
+            return rpc(*args)
         except RpcTimeout:
-            cluster.transport.backoff(source, attempt)
+            cluster.transport.backoff(proxy.source, attempt)
+    raise NodeDownError(proxy.target)
 
 
 def seal_cluster(
@@ -81,13 +79,19 @@ def seal_cluster(
     A sharded sequencer group is sealed shard by shard; surviving
     shards keep their soft state across the epoch bump (sealing only
     fences stale-epoch requests, it clears nothing).
+
+    A node we cannot reach after the retry budget is treated exactly
+    like a dead one: it cannot serve this partition's clients either
+    way, and if it is alive-but-partitioned its chain peers are sealed,
+    so any stale-epoch chain operation still fails to complete.
     """
-    for name in old.all_nodes():
-        _seal_one(cluster, source, _storage_rpc(cluster, source, name), new_epoch)
-    for name in old.sequencer_shards:
-        _seal_one(
-            cluster, source, _sequencer_rpc(cluster, source, name), new_epoch
-        )
+    proxies = [_storage_rpc(cluster, source, n) for n in old.all_nodes()]
+    proxies += [_sequencer_rpc(cluster, source, n) for n in old.sequencer_shards]
+    for proxy in proxies:
+        try:
+            _call_node(cluster, proxy, proxy.seal, new_epoch)
+        except (NodeDownError, SealedError):
+            pass  # dead nodes can't serve stale requests anyway
 
 
 def eject_storage_node(
@@ -133,14 +137,11 @@ def slow_check_tail(
         local_tail = 0
         for node in rset:
             proxy = _storage_rpc(cluster, source, node)
-            for attempt in range(_RPC_ATTEMPTS):
-                try:
-                    local_tail = max(local_tail, proxy.local_tail())
-                    break
-                except NodeDownError:
-                    break
-                except RpcTimeout:
-                    cluster.transport.backoff(source, attempt)
+            try:
+                node_tail = _call_node(cluster, proxy, proxy.local_tail)
+            except NodeDownError:
+                continue
+            local_tail = max(local_tail, node_tail)
         if local_tail > 0:
             tail = max(
                 tail, projection.global_offset(set_index, local_tail - 1) + 1
@@ -299,24 +300,9 @@ def replace_sequencer_shard(
     cluster.create_sequencer(
         new_name, shard_index=shard_index, num_shards=len(shards)
     )
-    replacement = _sequencer_rpc(cluster, source, new_name)
-    for attempt in range(_RPC_ATTEMPTS):
-        try:
-            replacement.bootstrap(tail, stream_tails, new.epoch)
-            break
-        except SealedError:
-            # A racing reconfiguration moved past us; its projection
-            # already carries recovered state.
-            return cluster.projection
-        except RpcTimeout as exc:
-            cluster.transport.backoff(source, attempt)
-            if attempt == _RPC_ATTEMPTS - 1:
-                raise NodeDownError(exc.node)
-    try:
-        cluster.install_projection(new)
-    except ValueError:
-        return cluster.projection
-    return new
+    return _bootstrap_and_install(
+        cluster, new, new_name, tail, stream_tails, source
+    )
 
 
 #: Stream id reserved for sequencer state checkpoints. Stream ids are
@@ -397,17 +383,14 @@ def _read_any_replica(
     """
     for node in reversed(rset.nodes):
         proxy = _storage_rpc(cluster, source, node)
-        for attempt in range(_RPC_ATTEMPTS):
-            try:
-                return proxy.read(address, epoch)
-            except TrimmedError:
-                return None
-            except (UnwrittenError, NodeDownError):
-                # A tail-unwritten page may still be an in-flight write
-                # held at an upstream replica; walk towards the head.
-                break
-            except RpcTimeout:
-                cluster.transport.backoff(source, attempt)
+        try:
+            return _call_node(cluster, proxy, proxy.read, address, epoch)
+        except TrimmedError:
+            return None
+        except (UnwrittenError, NodeDownError):
+            # A tail-unwritten page may still be an in-flight write
+            # held at an upstream replica; walk towards the head.
+            continue
     return None
 
 
@@ -436,19 +419,34 @@ def replace_sequencer(
     stream_tails = rebuild_stream_tails(
         cluster, new, tail, cluster.k, new.epoch, source=source
     )
-    replacement = _sequencer_rpc(cluster, source, new_name)
-    for attempt in range(_RPC_ATTEMPTS):
-        try:
-            replacement.bootstrap(tail, stream_tails, new.epoch)
-            break
-        except SealedError:
-            # A racing reconfiguration moved past us; its projection
-            # already carries recovered state.
-            return cluster.projection
-        except RpcTimeout as exc:
-            cluster.transport.backoff(source, attempt)
-            if attempt == _RPC_ATTEMPTS - 1:
-                raise NodeDownError(exc.node)
+    return _bootstrap_and_install(
+        cluster, new, new_name, tail, stream_tails, source
+    )
+
+
+def _bootstrap_and_install(
+    cluster: CorfuCluster,
+    new: Projection,
+    sequencer: str,
+    tail: int,
+    stream_tails: Dict[int, List[int]],
+    source: str,
+) -> Projection:
+    """Hand the recovered state to the *sequencer*, then install *new*.
+
+    Returns the projection in force afterwards: *new*, or the newer one
+    a racing reconfiguration installed first. An unreachable
+    replacement raises :class:`NodeDownError`.
+    """
+    replacement = _sequencer_rpc(cluster, source, sequencer)
+    try:
+        _call_node(
+            cluster, replacement, replacement.bootstrap, tail, stream_tails, new.epoch
+        )
+    except SealedError:
+        # A racing reconfiguration moved past us; its projection
+        # already carries recovered state.
+        return cluster.projection
     try:
         cluster.install_projection(new)
     except ValueError:

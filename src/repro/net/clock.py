@@ -1,6 +1,7 @@
 """Pluggable time sources for transports.
 
-The retry/failure-detector path (``CorfuClient._handle_timeout``,
+The retry/failure-detector path (``CorfuClient._retry``, which reacts
+to a timeout through ``_handle_timeout``; ``reconfig._call_node``;
 ``Transport.backoff``) was written against :class:`FaultyTransport`'s
 *logical* clock: "time" advanced one tick per delivery attempt, and
 "backing off" meant letting deferred traffic land. A socket transport

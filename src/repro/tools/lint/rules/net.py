@@ -8,6 +8,10 @@ network ate a message (:class:`RpcTimeout`). The client library's
 public surface has to absorb all three with its retry/reconfigure
 logic — ``CorfuClient.trim`` leaking ``SealedError`` to the GC during
 a reconfiguration is exactly the bug this rule exists to catch.
+
+The reactions live in one private retry helper that the public
+operations call, so the rule also checks handlers wherever they are: a
+method that catches one of the three errors must catch all of them.
 """
 
 from __future__ import annotations
@@ -75,7 +79,10 @@ class RpcErrorDiscipline(Rule):
         "infrastructure events to the application as exceptions — a "
         "trim racing a reconfiguration must not abort the caller's GC. "
         "Private helpers may propagate (their public caller holds the "
-        "retry loop); public entry points may not."
+        "retry loop); public entry points may not. Any method that "
+        "handles one of the three errors (the retry helper itself) "
+        "must handle all three: a dropped handler there leaks that "
+        "error from every operation at once."
     )
 
     def check(self, module: ParsedModule) -> Iterable[Diagnostic]:
@@ -85,9 +92,37 @@ class RpcErrorDiscipline(Rule):
             if not _is_rpc_client(cls):
                 continue
             for name, fn in class_methods(cls).items():
-                if name.startswith("_"):
-                    continue  # helpers propagate to the public retry loop
-                yield from self._unguarded_rpcs(module, cls, name, fn)
+                unguarded = []
+                if not name.startswith("_"):
+                    # Helpers may propagate to the public retry path.
+                    unguarded = list(self._unguarded_rpcs(module, cls, name, fn))
+                if unguarded:
+                    yield from unguarded
+                else:
+                    yield from self._partial_handlers(module, cls, name, fn)
+
+    def _partial_handlers(
+        self,
+        module: ParsedModule,
+        cls: ast.ClassDef,
+        name: str,
+        fn: ast.FunctionDef,
+    ) -> Iterable[Diagnostic]:
+        """Flag a method that handles some protocol errors but not all."""
+        covered: Set[str] = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler):
+                covered |= _handler_names(node.type)
+        missing = sorted(_REQUIRED - covered)
+        if covered & _REQUIRED and missing and not covered & _CATCH_ALLS:
+            yield self.diag(
+                module,
+                fn,
+                f"{cls.name}.{name} handles "
+                f"{'/'.join(sorted(covered & _REQUIRED))} but not "
+                f"{'/'.join(missing)}; a method that reacts to one "
+                f"protocol error must react to all three",
+            )
 
     def _unguarded_rpcs(
         self,

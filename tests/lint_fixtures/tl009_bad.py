@@ -30,6 +30,29 @@ class Client:
                 # Handles the seal but not dead nodes or timeouts.
                 self.refresh_projection()
 
+    def read(self, offset):
+        return self._retry(lambda proj: self._read_once(proj, offset))
+
+    def _read_once(self, proj, offset):
+        rset, address = proj.map_offset(offset)
+        return self._chain.read(rset, address, proj.epoch)
+
+    def _retry(self, attempt):
+        # The shared retry helper dropped its RpcTimeout handler: every
+        # operation routed through it now leaks timeouts.
+        for _ in range(32):
+            try:
+                return attempt(self._projection)
+            except SealedError:
+                self.refresh_projection()
+            except NodeDownError:
+                self.refresh_projection()
+        raise RuntimeError("retries exhausted")
+
 
 class SealedError(Exception):
+    pass
+
+
+class NodeDownError(Exception):
     pass

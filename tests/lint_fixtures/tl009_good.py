@@ -45,6 +45,26 @@ class Client:
             except CorfuError:
                 self.refresh_projection()
 
+    def read(self, offset):
+        return self._retry(lambda proj: self._read_once(proj, offset))
+
+    def _read_once(self, proj, offset):
+        # Attempt bodies propagate: the shared retry helper reacts.
+        rset, address = proj.map_offset(offset)
+        return self._chain.read(rset, address, proj.epoch)
+
+    def _retry(self, attempt):
+        for n in range(32):
+            try:
+                return attempt(self._projection)
+            except SealedError:
+                self.refresh_projection()
+            except NodeDownError:
+                self.refresh_projection()
+            except RpcTimeout:
+                self._backoff(n)
+        raise RuntimeError("retries exhausted")
+
     def _append_once(self, payload):
         # Private helpers may propagate: the public retry loop that
         # calls them owns the error handling.

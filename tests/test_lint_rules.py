@@ -65,7 +65,7 @@ def test_expected_finding_counts():
     assert len(finding_ids(fixture("tl003_bad.py"))) == 3
     assert len(finding_ids(fixture("tl005_bad.py"))) == 2
     assert len(finding_ids(fixture("tl006_bad.py"))) == 2
-    assert len(finding_ids(fixture("tl009_bad.py"))) == 2
+    assert len(finding_ids(fixture("tl009_bad.py"))) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,24 @@ def _harvest(cluster, client):
     return payloads, junk
 
 
+#: (RetriesExhaustedError.op, what the client is partitioned from, call)
+#: for every client operation that retries; a partition from the
+#: storage nodes lets an append's grant through but not its chain write.
+_RETRYING_OPS = [
+    ("append", "sequencer", lambda c: c.append(b"x")),
+    ("append_batch", "sequencer", lambda c: c.append_batch([b"x", b"y"])),
+    ("append.chain_write", "storage", lambda c: c.append(b"x")),
+    ("read", "storage", lambda c: c.read(0)),
+    ("read_many", "storage", lambda c: c.read_many([0])),
+    ("is_written", "storage", lambda c: c.is_written(0)),
+    ("check", "sequencer", lambda c: c.check()),
+    ("query_streams", "sequencer", lambda c: c.query_streams((1,))),
+    ("fill", "storage", lambda c: c.fill(0)),
+    ("trim", "storage", lambda c: c.trim(0)),
+    ("trim_prefix", "storage", lambda c: c.trim_prefix(1)),
+]
+
+
 class TestClientOverFaultyNetwork:
     def test_response_drops_never_duplicate_or_lose_entries(self):
         # Lost responses force retries of both increments (burning
@@ -323,20 +341,31 @@ class TestClientOverFaultyNetwork:
         assert tail == 2
         assert set(ptrs[4]) == {0, 1}
 
-    def test_retries_exhausted_surfaces_as_typed_error(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "op, cut_off, call",
+        _RETRYING_OPS,
+        ids=[case[0] for case in _RETRYING_OPS],
+    )
+    def test_retries_exhausted_surfaces_as_typed_error(
+        self, monkeypatch, op, cut_off, call
+    ):
         # With the failure detector disabled, a persistent partition
-        # exhausts the retry budget instead of reconfiguring — the
-        # bounded-retry paths must raise RetriesExhaustedError, never
-        # the old sentinel values.
+        # exhausts the retry budget instead of reconfiguring — every
+        # bounded-retry path must raise RetriesExhaustedError naming
+        # its operation, never the old sentinel values.
         monkeypatch.setattr(client_mod, "_TIMEOUT_FAILOVER", 10**9)
         net = FaultyTransport(seed=0)
         cluster = CorfuCluster(num_sets=1, replication_factor=2, transport=net)
         client = cluster.client()
         client.append(b"ok")
-        net.partition(client.name, cluster.projection.sequencer)
+        if cut_off == "sequencer":
+            net.partition(client.name, cluster.projection.sequencer)
+        else:
+            for node in cluster.projection.all_nodes():
+                net.partition(client.name, node)
         with pytest.raises(RetriesExhaustedError) as excinfo:
-            client.check()
-        assert excinfo.value.op == "check"
+            call(client)
+        assert excinfo.value.op == op
         assert excinfo.value.attempts == client_mod._MAX_RETRIES
         assert isinstance(excinfo.value, CorfuError)
 
